@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use coax::core::{CoaxConfig, CoaxIndex};
+use coax::core::{CoaxConfig, CoaxIndex, IndexHandle};
 use coax::data::synth::{AirlineConfig, Generator};
 use coax::data::Query;
 use coax::index::MultidimIndex;
@@ -96,15 +96,16 @@ fn main() {
         stats.rows_examined
     );
 
-    // 5. Inserts route by the margin check; rebuild folds them in. (For
-    //    concurrent inserts + reads, wrap the index in an IndexHandle and
-    //    take ReadSnapshot sessions — see the streaming_maintenance
-    //    example.)
-    let mut index = index;
-    let id = index
+    // 5. A built index is immutable; updates go through an IndexHandle.
+    //    Inserts route by the margin check and are visible at once; a
+    //    refit folds them in and refreshes the models. (For concurrent
+    //    inserts + reads and policy-driven maintenance, see the
+    //    streaming_maintenance example.)
+    let handle = IndexHandle::new(index);
+    let id = handle
         .insert(&[800.0, 135.0, 107.0, 600.0, 755.0, 750.0, 3.0, 2.0])
         .expect("well-formed row");
-    println!("\ninserted row id {id}; pending = {}", index.pending_len());
-    let index = index.rebuild();
-    println!("after rebuild: {} rows indexed, pending = {}", index.len(), index.pending_len());
+    println!("\ninserted row id {id}; pending = {}", handle.pending_len());
+    handle.refit();
+    println!("after refit: {} rows indexed, pending = {}", handle.len(), handle.pending_len());
 }

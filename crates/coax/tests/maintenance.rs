@@ -5,7 +5,8 @@
 //! effectiveness recovers to a fresh build's level.
 
 use coax::core::maint::{IndexHandle, Maintainer, MaintenanceAction};
-use coax::core::{CoaxConfig, CoaxIndex, MaintenancePolicy};
+use coax::core::obs::{self, EventJournal};
+use coax::core::{CoaxConfig, CoaxIndex, MaintenancePolicy, ObsConfig};
 use coax::data::synth::{DriftingLinearConfig, Generator};
 use coax::data::{Dataset, RangeQuery, RowId};
 use coax::index::{FullScan, MultidimIndex, ScanStats};
@@ -185,4 +186,65 @@ fn stationary_stream_folds_but_never_refits() {
     // Everything inserted is still there, exactly once.
     let all = sorted(handle.range_query(&RangeQuery::unbounded(full.dims())));
     assert_eq!(all, (0..12_000).collect::<Vec<RowId>>());
+}
+
+/// The bounded journal keeps the decisions that matter: idle ticks only
+/// count, so a refit's decision and publish events are still there after
+/// 10 000 idle polls (more than the journal holds).
+#[test]
+fn refit_events_survive_ten_thousand_idle_ticks() {
+    // A shard tag no other test uses: every test in the process shares
+    // one journal, so this test reads only its own tagged events.
+    const TAG: u32 = 7_713;
+    let stream = DriftingLinearConfig {
+        rows: 8_000,
+        drift_after: 8_000, // never drifts
+        start: (2.0, 25.0),
+        end: (2.0, 25.0),
+        seed: 0x1D1E,
+        ..Default::default()
+    };
+    let config = CoaxConfig {
+        maintenance: MaintenancePolicy { max_pending: usize::MAX, ..Default::default() },
+        obs: ObsConfig::default().for_shard(TAG),
+        ..Default::default()
+    };
+    let handle = Arc::new(IndexHandle::build(&stream.generate(), &config));
+    let model = handle.snapshot().frozen().groups()[0].models[0].clone();
+    // Gross outliers only: the outlier rate blows past the build's
+    // baseline, so the first tick after the warm-up refits.
+    for i in 0..300 {
+        let x = (i as f64 * 7.3) % 1000.0;
+        handle
+            .insert(&[x, model.predict(x) + 40.0 * model.margin_width(), 5.0])
+            .expect("insert");
+    }
+    let maintainer = Maintainer::new(Arc::clone(&handle));
+    assert_eq!(maintainer.tick().action, MaintenanceAction::Refit);
+
+    let ticks = || obs::snapshot().get_shard("coax.maint.ticks", TAG).map_or(0, |s| s.value);
+    let ticks_before = ticks();
+    for _ in 0..10_000 {
+        assert_eq!(maintainer.tick().action, MaintenanceAction::None);
+    }
+    assert_eq!(ticks() - ticks_before, 10_000, "every idle tick still counts");
+
+    let prefix = format!("shard={TAG} ");
+    let ours: Vec<_> = EventJournal::global()
+        .events()
+        .into_iter()
+        .filter(|e| e.detail.starts_with(&prefix))
+        .collect();
+    assert!(
+        ours.iter().any(|e| e.kind == "maint_decision" && e.detail.contains("action=Refit")),
+        "the refit decision was evicted: {ours:?}"
+    );
+    assert!(
+        ours.iter().any(|e| e.kind == "epoch_publish" && e.detail.contains("action=refit")),
+        "the refit publish was evicted: {ours:?}"
+    );
+    assert!(
+        ours.iter().all(|e| !e.detail.contains("action=None")),
+        "idle ticks must not be journalled"
+    );
 }

@@ -1,10 +1,12 @@
 //! Integration tests for the update path (§5's Bayesian update story +
-//! §9 future work): insert → pending queries → rebuild → model refresh,
-//! plus the maintenance-equivalence property behind `crate::maint`'s
-//! fold/refit split: `rebuild_incremental()` (fold) and `rebuild()`
-//! (refit) must answer every query exactly like the never-rebuilt index.
+//! §9 future work) through `IndexHandle`, the one write path: insert →
+//! overlay queries → fold/refit → model refresh, plus the
+//! maintenance-equivalence property behind the fold/refit split: `fold()`
+//! and `refit()` must answer every query exactly like the never-folded
+//! handle. Routing is read off the fold: the primary/outlier partition
+//! sizes of the folded epoch grow by the rows each verdict sent there.
 
-use coax::core::{CoaxConfig, CoaxIndex, OutlierBackend, PrimaryBackend};
+use coax::core::{CoaxConfig, IndexHandle, OutlierBackend, PrimaryBackend};
 use coax::data::synth::{Generator, LinearPairConfig};
 use coax::data::RangeQuery;
 use coax::index::{BackendSpec, FullScan, MultidimIndex};
@@ -30,8 +32,9 @@ fn sorted(mut v: Vec<u32>) -> Vec<u32> {
 #[test]
 fn inserted_rows_are_visible_before_and_after_rebuild() {
     let ds = planted(10_000, 1);
-    let mut index = CoaxIndex::build(&ds, &CoaxConfig::default());
-    assert!(!index.groups().is_empty());
+    let index = IndexHandle::build(&ds, &CoaxConfig::default());
+    let built = index.snapshot();
+    assert!(!built.frozen().groups().is_empty());
 
     let rows: Vec<Vec<f64>> = (0..50)
         .map(|i| {
@@ -44,14 +47,19 @@ fn inserted_rows_are_visible_before_and_after_rebuild() {
         ids.push(index.insert(row).unwrap());
     }
     assert_eq!(index.pending_len(), 50);
-    assert_eq!(index.pending_in_margins(), 50, "on-line rows route to primary");
 
     for (row, id) in rows.iter().zip(&ids) {
         assert!(index.range_query(&RangeQuery::point(row)).contains(id));
     }
 
-    let rebuilt = index.rebuild();
-    assert_eq!(rebuilt.pending_len(), 0);
+    index.fold();
+    let routed = index.snapshot().frozen().primary_len() - built.frozen().primary_len();
+    assert_eq!(routed, 50, "on-line rows route to primary");
+
+    index.refit();
+    assert_eq!(index.pending_len(), 0);
+    let snapshot = index.snapshot();
+    let rebuilt = snapshot.frozen();
     for (row, id) in rows.iter().zip(&ids) {
         assert!(rebuilt.range_query(&RangeQuery::point(row)).contains(id));
     }
@@ -62,14 +70,19 @@ fn inserted_rows_are_visible_before_and_after_rebuild() {
 #[test]
 fn outlier_inserts_route_to_outlier_partition() {
     let ds = planted(10_000, 2);
-    let mut index = CoaxIndex::build(&ds, &CoaxConfig::default());
-    let before_outliers = index.outlier_len();
+    let index = IndexHandle::build(&ds, &CoaxConfig::default());
+    let built = index.snapshot();
+    let before_outliers = built.frozen().outlier_len();
     for i in 0..20 {
         let x = 50.0 * i as f64 % 1000.0;
         index.insert(&[x, 2.0 * x + 10.0 + 5000.0]).unwrap(); // far off the band
     }
-    assert_eq!(index.pending_in_margins(), 0);
-    let rebuilt = index.rebuild();
+    index.fold();
+    let routed = index.snapshot().frozen().primary_len() - built.frozen().primary_len();
+    assert_eq!(routed, 0);
+    index.refit();
+    let snapshot = index.snapshot();
+    let rebuilt = snapshot.frozen();
     assert!(
         rebuilt.outlier_len() >= before_outliers + 20,
         "gross outliers must land in the outlier index"
@@ -82,19 +95,20 @@ fn posterior_update_tracks_a_drifting_stream() {
     // 2.2; after rebuild the refreshed model should sit between the two,
     // pulled towards the new evidence.
     let ds = planted(5_000, 3);
-    let mut index = CoaxIndex::build(&ds, &CoaxConfig::default());
-    let slope_before =
-        index.groups()[0].models[0].as_linear().expect("linear model").params.slope.abs();
+    let index = IndexHandle::build(&ds, &CoaxConfig::default());
+    let model = index.snapshot().frozen().groups()[0].models[0].clone();
+    let slope_before = model.as_linear().expect("linear model").params.slope.abs();
     for i in 0..5_000 {
         let x = (i as f64 * 7.7) % 1000.0;
         // Keep drifted rows inside the current margins so the posterior
         // actually sees them.
-        let model = index.groups()[0].models[0].clone();
         let drift = (0.2 * x).min(model.margin_width() * 0.45);
         let y = model.predict(x) + drift;
         let _ = index.insert(&[x, y]).unwrap();
     }
-    let rebuilt = index.rebuild();
+    index.refit();
+    let snapshot = index.snapshot();
+    let rebuilt = snapshot.frozen();
     let slope_after =
         rebuilt.groups()[0].models[0].as_linear().expect("linear model").params.slope.abs();
     assert!(slope_after != slope_before, "posterior refresh must move the model");
@@ -106,9 +120,9 @@ fn posterior_update_tracks_a_drifting_stream() {
 
 /// Property-style seeded sweep: across primary×outlier backend
 /// combinations and seeds, a mixed insert stream followed by (a) nothing,
-/// (b) `rebuild_incremental()` — the maint layer's fold, models frozen —
-/// or (c) the full `rebuild()` — the refit — must answer every query
-/// identically, and identically to a full scan over the logical table.
+/// (b) `fold()` — models frozen — or (c) `refit()` must answer every
+/// query identically, and identically to a full scan over the logical
+/// table. Each stage is read through its own snapshot.
 #[test]
 fn fold_refit_and_no_rebuild_agree_across_backend_combos() {
     let combos: Vec<(PrimaryBackend, OutlierBackend)> = vec![
@@ -128,11 +142,11 @@ fn fold_refit_and_no_rebuild_agree_across_backend_combos() {
                 outlier_backend: outlier,
                 ..Default::default()
             };
-            let mut index = CoaxIndex::build(&ds, &cfg);
+            let handle = IndexHandle::build(&ds, &cfg);
             // A seeded mixed stream: in-band, gross-outlier, and
             // near-margin rows.
             let mut logical: Vec<Vec<f64>> = (0..ds.len() as u32).map(|r| ds.row(r)).collect();
-            let model = index.groups()[0].models[0].clone();
+            let model = handle.snapshot().frozen().groups()[0].models[0].clone();
             for i in 0..150 {
                 let x = ((seed as f64 + i as f64) * 37.3) % 1000.0;
                 let y = match i % 4 {
@@ -141,18 +155,21 @@ fn fold_refit_and_no_rebuild_agree_across_backend_combos() {
                     2 => model.predict(x) - 0.45 * model.margin_width(),
                     _ => model.predict(x) + 0.45 * model.margin_width(),
                 };
-                index.insert(&[x, y]).unwrap();
+                handle.insert(&[x, y]).unwrap();
                 logical.push(vec![x, y]);
             }
 
-            let folded = index.rebuild_incremental();
-            let refitted = index.rebuild();
+            let index = handle.snapshot();
+            handle.fold();
+            let folded = handle.snapshot();
+            handle.refit();
+            let refitted = handle.snapshot();
             assert_eq!(folded.pending_len(), 0);
             assert_eq!(folded.len(), index.len());
             // The fold must not have touched a model.
             assert_eq!(
-                folded.groups()[0].models[0],
-                index.groups()[0].models[0],
+                folded.frozen().groups()[0].models[0],
+                index.frozen().groups()[0].models[0],
                 "fold froze no model (combo {combo_i}, seed {seed})"
             );
 
@@ -200,26 +217,30 @@ fn fold_refit_and_no_rebuild_agree_across_backend_combos() {
 #[test]
 fn fold_preserves_posterior_evidence_for_a_later_refit() {
     let ds = planted(5_000, 31);
-    let mut index = CoaxIndex::build(&ds, &CoaxConfig::default());
-    let slope_before =
-        index.groups()[0].models[0].as_linear().expect("linear model").params.slope;
+    let index = IndexHandle::build(&ds, &CoaxConfig::default());
+    let model = index.snapshot().frozen().groups()[0].models[0].clone();
+    let slope_before = model.as_linear().expect("linear model").params.slope;
     // Stream biased-but-in-margin rows, fold (models must stay frozen),
     // then refit: the refreshed line must reflect the pre-fold stream.
     for i in 0..4_000 {
         let x = (i as f64 * 7.7) % 1000.0;
-        let model = index.groups()[0].models[0].clone();
         let y = model.predict(x) + model.margin_width() * 0.45;
         index.insert(&[x, y]).unwrap();
     }
-    let folded = index.rebuild_incremental();
-    let slope_folded =
-        folded.groups()[0].models[0].as_linear().expect("linear model").params.slope;
+    index.fold();
+    let slope_folded = index.snapshot().frozen().groups()[0].models[0]
+        .as_linear()
+        .expect("linear model")
+        .params
+        .slope;
     assert_eq!(slope_folded, slope_before, "fold must not move the line");
-    let refitted = folded.rebuild();
-    let intercept_before =
-        index.groups()[0].models[0].as_linear().expect("linear model").params.intercept;
-    let intercept_after =
-        refitted.groups()[0].models[0].as_linear().expect("linear model").params.intercept;
+    index.refit();
+    let intercept_before = model.as_linear().expect("linear model").params.intercept;
+    let intercept_after = index.snapshot().frozen().groups()[0].models[0]
+        .as_linear()
+        .expect("linear model")
+        .params
+        .intercept;
     assert!(
         intercept_after != intercept_before,
         "refit after fold must see the folded stream's evidence"
@@ -229,7 +250,7 @@ fn fold_preserves_posterior_evidence_for_a_later_refit() {
 #[test]
 fn rebuild_after_mixed_inserts_is_exact() {
     let ds = planted(8_000, 4);
-    let mut index = CoaxIndex::build(&ds, &CoaxConfig::default());
+    let index = IndexHandle::build(&ds, &CoaxConfig::default());
     // A mix of in-band, off-band, and boundary rows.
     let mut all_rows: Vec<Vec<f64>> = Vec::new();
     for r in 0..ds.len() as u32 {
@@ -245,7 +266,9 @@ fn rebuild_after_mixed_inserts_is_exact() {
         index.insert(&[x, y]).unwrap();
         all_rows.push(vec![x, y]);
     }
-    let rebuilt = index.rebuild();
+    index.refit();
+    let snapshot = index.snapshot();
+    let rebuilt = snapshot.frozen();
 
     // Compare against a full scan over the same logical table.
     let columns =

@@ -11,8 +11,12 @@
 //!    filtering rows against the original query;
 //! 3. **probe the outlier** index with the original query (margins mean
 //!    nothing to outliers);
-//! 4. **merge**: map local row ids back to dataset ids, linearly scan the
-//!    pending-insert buffer, and sum the per-part counters.
+//! 4. **merge**: map local row ids back to dataset ids and sum the
+//!    per-part counters.
+//!
+//! A [`CoaxIndex`] holds built rows only. Rows inserted since the build
+//! live in the [`crate::maint::IndexHandle`] overlay, which the handle
+//! scans before it runs this sequence on its epoch index.
 //!
 //! Keeping this sequence in one place is what lets
 //! [`CoaxIndex`] be *just another backend* behind
@@ -161,52 +165,28 @@ pub(crate) fn probe_outliers(
     stats
 }
 
-/// Step 4 (pending part): linearly scans the buffered inserts.
-/// Returns `(examined, matched)`.
-pub(crate) fn scan_pending(
-    index: &CoaxIndex,
-    filter: &RangeQuery,
-    out: &mut Vec<RowId>,
-) -> (usize, usize) {
-    let mut examined = 0;
-    let mut matched = 0;
-    for p in &index.pending {
-        examined += 1;
-        if filter.matches(&p.values) {
-            out.push(p.id);
-            matched += 1;
-        }
-    }
-    (examined, matched)
-}
-
-/// Runs a full plan: primary probe, outlier probe, pending scan, merged
-/// per-part counters.
+/// Runs a full plan: primary probe, outlier probe, merged per-part
+/// counters.
 pub(crate) fn execute(
     index: &CoaxIndex,
     plan: &QueryPlan,
     out: &mut Vec<RowId>,
 ) -> CoaxQueryStats {
     let mut span = index.obs.query_span();
-    let mut stats =
-        CoaxQueryStats { primary: probe_primary(index, plan, out), ..Default::default() };
+    let primary = probe_primary(index, plan, out);
     span.phase(QueryPhase::PrimaryProbe);
-    stats.outliers = probe_outliers(index, plan.filter(), out);
+    let outliers = probe_outliers(index, plan.filter(), out);
     span.phase(QueryPhase::OutlierProbe);
-    let (examined, matched) = scan_pending(index, plan.filter(), out);
-    span.phase(QueryPhase::PendingScan);
-    stats.pending_examined = examined;
-    stats.pending_matches = matched;
+    let stats = CoaxQueryStats { primary, outliers };
     span.finish(&stats.flatten());
     stats
 }
 
 /// Streaming counterpart of [`execute`]: a [`RowCursor`] that chains the
 /// primary probe (one sub-cursor per navigation rectangle, local ids
-/// remapped chunk by chunk), the outlier probe, and the pending-buffer
-/// scan — in exactly the order [`execute`] appends them, with the same
-/// counters, so collecting the cursor reproduces the materialized call
-/// bit for bit. First results leave as soon as the primary backend's own
+/// remapped chunk by chunk) and the outlier probe — in exactly the order
+/// [`execute`] appends them, with the same counters, so collecting the
+/// cursor reproduces the materialized call bit for bit. First results leave as soon as the primary backend's own
 /// cursor produces its first populated chunk.
 pub(crate) fn plan_cursor(index: &CoaxIndex, plan: QueryPlan) -> RowCursor<'_> {
     RowCursor::new(Box::new(PlanCursor {
@@ -224,8 +204,6 @@ enum PlanStage<'a> {
     Primary { nav_idx: usize, cursor: Option<RowCursor<'a>> },
     /// Probing the outlier index with the original filter.
     Outliers { cursor: Option<RowCursor<'a>> },
-    /// Scanning the pending-insert buffer (one final chunk).
-    Pending,
     /// Every part exhausted.
     Done,
 }
@@ -311,14 +289,7 @@ impl CursorSource for PlanCursor<'_> {
                     ) {
                         return true;
                     }
-                    self.stage = PlanStage::Pending;
-                }
-                PlanStage::Pending => {
-                    let (examined, matched) = scan_pending(self.index, self.plan.filter(), out);
-                    stats.scanned_pending += examined;
-                    stats.matches += matched;
                     self.stage = PlanStage::Done;
-                    return true;
                 }
                 PlanStage::Done => return false,
             }
@@ -638,19 +609,17 @@ impl BatchPlan {
         // The outlier index sees each query's original filter, batched.
         let outliers = index.outliers.batch_query(&self.filters[range]);
 
-        for (qi, plan) in plans.iter().enumerate() {
+        for (&(from, to), outlier) in probe_ranges.iter().zip(&outliers) {
             let mut ids = Vec::new();
             // Primary: merge this query's probes in nav order, then
             // remap — the same accumulation probe_primary performs.
             let mut primary_stats = ScanStats::default();
-            let (from, to) = probe_ranges[qi];
             for probe in &primary[from..to] {
                 primary_stats = primary_stats.merge(probe.stats);
                 ids.extend_from_slice(&probe.ids);
             }
             remap_local_ids(&mut ids, &index.primary_ids, index.primary.name());
 
-            let outlier = &outliers[qi];
             let outlier_from = ids.len();
             ids.extend_from_slice(&outlier.ids);
             remap_local_ids(
@@ -659,16 +628,8 @@ impl BatchPlan {
                 index.outliers.name(),
             );
 
-            let (pending_examined, pending_matches) =
-                scan_pending(index, plan.filter(), &mut ids);
-            let stats = CoaxQueryStats {
-                primary: primary_stats,
-                outliers: outlier.stats,
-                pending_examined,
-                pending_matches,
-            }
-            .flatten();
-            results.push(QueryResult { ids, stats });
+            let stats = CoaxQueryStats { primary: primary_stats, outliers: outlier.stats };
+            results.push(QueryResult { ids, stats: stats.flatten() });
         }
         index.obs.record_chunk(chunk_timer, plans.len());
     }

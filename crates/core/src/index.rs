@@ -13,22 +13,18 @@
 //! paper's "works with any multidimensional index structure" claim
 //! structural for the primary too.
 //!
-//! Updates (§5, §9): inserts are margin-checked and buffered; each insert
-//! inside the margins also advances the per-model Bayesian posterior.
-//! Folding the buffer back into the structures is the job of the
-//! [`crate::maint`] lifecycle layer: wrap the index in a
-//! [`crate::maint::IndexHandle`] and let its drift monitor and policy
-//! decide between the cheap [`CoaxIndex::rebuild_incremental`] (re-pack
-//! partitions, models frozen) and the full [`CoaxIndex::rebuild`]
-//! (refresh every model, re-split). The two rebuild methods remain
-//! callable directly for synchronous, single-owner use.
+//! A built `CoaxIndex` is immutable: it has no `&mut self` method.
+//! Updates (§5, §9) go through [`crate::maint::IndexHandle`], the one
+//! write path: it margin-checks and buffers each insert, advances the
+//! per-model Bayesian posteriors with the in-margin rows, and publishes
+//! a successor index built by a fold (partitions re-packed, models
+//! frozen) or a refit (every model refreshed, rows re-split).
 
 use crate::discovery::{discover, CorrelationGroup, Discovery, DiscoveryConfig};
-use crate::epsilon::EpsilonPolicy;
 use crate::exec::{self, BatchPlan, ExecConfig, QueryPlan};
 use crate::learn::split_rows;
 use crate::maint::MaintenancePolicy;
-use crate::model::{FdModel, SoftFdModel};
+use crate::model::FdModel;
 use crate::obs::{Obs, ObsConfig, QueryPhase};
 use crate::regression::BayesianLinReg;
 use crate::shard::ShardSpec;
@@ -192,11 +188,10 @@ pub struct CoaxConfig {
     /// first indexed attribute.
     pub sort_dim: Option<usize>,
     /// Thresholds the [`crate::maint`] layer uses to decide between
-    /// folding the pending buffer and refitting the models. Carried in
+    /// folding the insert overlay and refitting the models. Carried in
     /// the build config so the factory ([`crate::IndexSpec`]) can hand
     /// out maintained indexes ([`crate::maint::IndexHandle`]) without a
-    /// second configuration channel; ignored by callers that only ever
-    /// rebuild manually.
+    /// second configuration channel; a bare [`CoaxIndex`] ignores it.
     pub maintenance: MaintenancePolicy,
     /// Batch-execution policy: worker count and probe sharing for
     /// `batch_query` (see [`ExecConfig`]). Defaults to the calling
@@ -249,45 +244,20 @@ pub struct CoaxQueryStats {
     pub primary: ScanStats,
     /// Work done inside the outlier index.
     pub outliers: ScanStats,
-    /// Buffered-insert rows checked linearly.
-    pub pending_examined: usize,
-    /// Matches found in the pending buffer.
-    pub pending_matches: usize,
 }
 
 impl CoaxQueryStats {
-    /// Flattens into a single [`ScanStats`] (trait-level reporting). The
-    /// pending-buffer scan lands in [`ScanStats::scanned_pending`], so a
-    /// bloated insert buffer degrades reported effectiveness (Eq. 5)
-    /// instead of hiding — the signal [`crate::maint`] watches.
+    /// Flattens into a single [`ScanStats`] (trait-level reporting).
+    /// Buffered inserts live in the [`crate::maint::IndexHandle`]
+    /// overlay, which charges its scan to [`ScanStats::scanned_pending`]
+    /// on top of this.
     pub fn flatten(&self) -> ScanStats {
-        // The index partitions never scan the pending buffer: all
-        // pending work must arrive through `pending_examined`, or the
-        // flattened `scanned_pending` would double-count it.
-        debug_assert!(
-            self.primary.scanned_pending == 0 && self.outliers.scanned_pending == 0,
-            "CoaxQueryStats::flatten: partition stats carry scanned_pending \
-             (pending_examined is the only pending channel)"
-        );
-        let mut s = self.primary.merge(self.outliers);
-        s.scanned_pending += self.pending_examined;
-        s.matches += self.pending_matches;
-        s
+        self.primary.merge(self.outliers)
     }
 }
 
-/// A row inserted after the build, not yet folded into the grids.
-#[derive(Clone, Debug)]
-pub(crate) struct PendingRow {
-    pub(crate) id: RowId,
-    pub(crate) values: Vec<Value>,
-    /// Whether the row was inside every model's margins at insert time.
-    /// Folding trusts this flag: models are frozen between refits, so the
-    /// insert-time verdict stays valid until the models move.
-    pub(crate) in_margins: bool,
-}
-
-/// Error returned by [`CoaxIndex::insert`] for malformed rows.
+/// Error returned by [`crate::maint::IndexHandle::insert`] and
+/// [`crate::shard::ShardedHandle::insert`] for malformed rows.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum InsertError {
     /// Row length differs from the index dimensionality.
@@ -323,6 +293,9 @@ impl std::error::Error for InsertError {}
 /// [`MultidimIndex`], so the whole composition is uniform: translation +
 /// primary/outlier merge is just another backend, and COAX-over-COAX
 /// nesting falls out of the seam.
+///
+/// A built index is immutable. To insert rows, wrap it in a
+/// [`crate::maint::IndexHandle`].
 #[derive(Debug)]
 pub struct CoaxIndex {
     dims: usize,
@@ -340,12 +313,10 @@ pub struct CoaxIndex {
     /// Sorted attribute of the primary index.
     sort_dim: Option<usize>,
     /// One posterior accumulator per *linear* model (in discovery model
-    /// order), advanced by inserts. Spline models carry `None`: their
-    /// shape is frozen between full rebuilds.
+    /// order), seeded from the primary rows at build. The
+    /// [`crate::maint::IndexHandle`] advances its own copy with inserts.
+    /// Spline models carry `None`: their shape is frozen between refits.
     pub(crate) posteriors: Vec<Option<BayesianLinReg>>,
-    /// Buffered inserts, scanned linearly at query time.
-    pub(crate) pending: Vec<PendingRow>,
-    pub(crate) next_id: RowId,
     /// Observability recorder (no-op when `config.obs` is disabled).
     /// Rebuilt with the index; the underlying metric cells are
     /// process-wide, so counters survive fold/refit cycles.
@@ -391,7 +362,6 @@ impl CoaxIndex {
             })
             .collect();
 
-        let next_id = dataset.len() as RowId;
         Self::from_parts(
             dataset,
             discovery,
@@ -399,7 +369,6 @@ impl CoaxIndex {
             primary_rows,
             outlier_rows,
             posteriors,
-            next_id,
         )
     }
 
@@ -409,9 +378,8 @@ impl CoaxIndex {
     ///
     /// This is the structural half of every build path:
     /// [`CoaxIndex::build_with_discovery`] computes the split and seeds
-    /// the posteriors first; [`CoaxIndex::rebuild_incremental`] and the
-    /// [`crate::maint`] fold path reuse the memberships they already know
-    /// and skip both scans.
+    /// the posteriors first; the [`crate::maint`] fold path reuses the
+    /// memberships it already knows and skips both scans.
     pub(crate) fn from_parts(
         dataset: &Dataset,
         discovery: Discovery,
@@ -419,7 +387,6 @@ impl CoaxIndex {
         primary_rows: Vec<RowId>,
         outlier_rows: Vec<RowId>,
         posteriors: Vec<Option<BayesianLinReg>>,
-        next_id: RowId,
     ) -> Self {
         let dims = dataset.dims();
         assert_eq!(discovery.dims, dims, "discovery dimensionality mismatch");
@@ -462,8 +429,6 @@ impl CoaxIndex {
             outlier_ids: outlier_rows,
             sort_dim,
             posteriors,
-            pending: Vec::new(),
-            next_id,
             obs,
         }
     }
@@ -498,20 +463,8 @@ impl CoaxIndex {
         self.outlier_ids.len()
     }
 
-    /// Buffered inserts not yet folded into the grids.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// How many buffered inserts passed the margin check at insert time
-    /// (i.e. will join the primary partition on rebuild, barring a model
-    /// refresh that moves the margins).
-    pub fn pending_in_margins(&self) -> usize {
-        self.pending.iter().filter(|p| p.in_margins).count()
-    }
-
-    /// Fraction of built rows in the primary partition (Table 1's
-    /// "Primary Index Ratio"). Pending inserts are excluded.
+    /// Fraction of rows in the primary partition (Table 1's "Primary
+    /// Index Ratio").
     pub fn primary_ratio(&self) -> f64 {
         let built = self.primary_ids.len() + self.outlier_ids.len();
         if built == 0 {
@@ -560,8 +513,8 @@ impl CoaxIndex {
         plan
     }
 
-    /// Executes a prepared plan: primary probe + outlier probe + pending
-    /// scan, with per-part counters. [`CoaxIndex::query_detailed`] is
+    /// Executes a prepared plan: primary probe + outlier probe, with
+    /// per-part counters. [`CoaxIndex::query_detailed`] is
     /// `execute_plan(plan(query))`.
     pub fn execute_plan(&self, plan: &QueryPlan, out: &mut Vec<RowId>) -> CoaxQueryStats {
         exec::execute(self, plan, out)
@@ -590,12 +543,12 @@ impl CoaxIndex {
     }
 
     /// Streaming execution of a prepared plan: the returned cursor chains
-    /// the primary probe (per navigation rectangle), the outlier probe,
-    /// and the pending scan, yielding chunks as each part produces them —
-    /// collecting it reproduces [`CoaxIndex::execute_plan`] bit for bit
-    /// (ids in the same order, [`ScanStats`] equal), but the first chunk
-    /// leaves after the primary's first populated cell instead of after
-    /// the whole four-step sequence.
+    /// the primary probe (per navigation rectangle) and the outlier
+    /// probe, yielding chunks as each part produces them — collecting it
+    /// reproduces [`CoaxIndex::execute_plan`] bit for bit (ids in the
+    /// same order, [`ScanStats`] equal), but the first chunk leaves after
+    /// the primary's first populated cell instead of after the whole
+    /// exec sequence.
     pub fn execute_plan_cursor(&self, plan: QueryPlan) -> coax_index::RowCursor<'_> {
         exec::plan_cursor(self, plan)
     }
@@ -626,9 +579,9 @@ impl CoaxIndex {
     }
 
     /// Queries only the primary (soft-FD) index. Results are exact w.r.t.
-    /// the primary partition; outliers and pending rows are *not*
-    /// consulted — pair with [`CoaxIndex::query_outliers`] for full
-    /// results. Fig. 6/7 time the two parts separately.
+    /// the primary partition; outliers are *not* consulted — pair with
+    /// [`CoaxIndex::query_outliers`] for full results. Fig. 6/7 time the
+    /// two parts separately.
     ///
     /// Navigation uses multi-interval translation
     /// ([`crate::translate::translate_all`]): non-monotone spline models
@@ -659,131 +612,14 @@ impl CoaxIndex {
         exec::probe_outliers(self, query, out)
     }
 
-    /// Full query: primary + outliers + pending buffer, with per-part
-    /// counters.
+    /// Full query: primary + outliers, with per-part counters.
     pub fn query_detailed(&self, query: &RangeQuery, out: &mut Vec<RowId>) -> CoaxQueryStats {
         self.execute_plan(&self.plan(query), out)
-    }
-
-    /// Inserts a row, routing it by the margin check and advancing the
-    /// Bayesian posteriors (§5's update story). The row is buffered and
-    /// scanned linearly until [`CoaxIndex::rebuild`] folds it in; the
-    /// returned id identifies it in query results.
-    pub fn insert(&mut self, row: &[Value]) -> Result<RowId, InsertError> {
-        if row.len() != self.dims {
-            return Err(InsertError::WrongArity { expected: self.dims, got: row.len() });
-        }
-        if row.iter().any(|v| !v.is_finite()) {
-            return Err(InsertError::NonFinite);
-        }
-        let models: Vec<&FdModel> = self.discovery.all_models().collect();
-        let in_margins =
-            models.iter().all(|m| m.contains(row[m.predictor()], row[m.dependent()]));
-        if in_margins {
-            for (m, reg) in models.iter().zip(&mut self.posteriors) {
-                if let Some(reg) = reg {
-                    reg.observe(row[m.predictor()], row[m.dependent()]);
-                }
-            }
-        }
-        let id = self.next_id;
-        self.next_id += 1;
-        self.pending.push(PendingRow { id, values: row.to_vec(), in_margins });
-        Ok(id)
     }
 
     /// The build configuration this index was constructed with.
     pub fn config(&self) -> &CoaxConfig {
         &self.config
-    }
-
-    /// Rebuilds the grids, folding in the pending buffer and refreshing
-    /// every model from its Bayesian posterior (new line) and from the
-    /// full residual distribution (new margins). Group structure is kept;
-    /// run [`CoaxIndex::build`] again to re-discover from scratch.
-    ///
-    /// This is the expensive **refit** half of the [`crate::maint`]
-    /// fold/refit split: it re-derives margins from every residual and
-    /// re-splits every row. When the models have not drifted, prefer
-    /// [`CoaxIndex::rebuild_incremental`].
-    pub fn rebuild(&self) -> CoaxIndex {
-        let dataset = self.to_dataset();
-        let epsilon = self.config.discovery.learn.epsilon;
-        let groups = self
-            .discovery
-            .groups
-            .iter()
-            .map(|g| refresh_group(g, &self.discovery, &self.posteriors, &dataset, epsilon))
-            .collect();
-        let discovery = Discovery { groups, dims: self.dims };
-        let mut rebuilt = CoaxIndex::build_with_discovery(&dataset, discovery, &self.config);
-        rebuilt.next_id = self.next_id;
-        rebuilt
-    }
-
-    /// Folds the pending buffer into fresh partition structures **without
-    /// refitting any model** — the cheap **fold** half of the
-    /// [`crate::maint`] fold/refit split.
-    ///
-    /// Models, margins, and group structure are carried over verbatim, so
-    /// no residual is recomputed and no row is re-checked against the
-    /// margins: built rows keep their partition, and each pending row
-    /// goes where its insert-time margin verdict already routed it (valid
-    /// because models only move on refit). The Bayesian posteriors keep
-    /// every observation accumulated so far, so a later
-    /// [`CoaxIndex::rebuild`] still refits from the full evidence.
-    ///
-    /// Query results are identical to never rebuilding (same rows, same
-    /// models) — only the linear pending scan disappears, which is
-    /// exactly what [`ScanStats::scanned_pending`] stops charging.
-    pub fn rebuild_incremental(&self) -> CoaxIndex {
-        let dataset = self.to_dataset();
-        let (primary_rows, outlier_rows) = self.fold_memberships(std::iter::empty());
-        Self::from_parts(
-            &dataset,
-            self.discovery.clone(),
-            self.config.clone(),
-            primary_rows,
-            outlier_rows,
-            self.posteriors.clone(),
-            self.next_id,
-        )
-    }
-
-    /// The partition memberships a fold produces: built rows keep their
-    /// partition, each buffered row goes where its insert-time margin
-    /// verdict routed it, and `extra` appends further `(id, in_margins)`
-    /// buffered rows (the [`crate::maint`] handle's overlay). One
-    /// routing for both fold paths, so they cannot diverge.
-    pub(crate) fn fold_memberships(
-        &self,
-        extra: impl Iterator<Item = (RowId, bool)>,
-    ) -> (Vec<RowId>, Vec<RowId>) {
-        let mut primary_rows = self.primary_ids.clone();
-        let mut outlier_rows = self.outlier_ids.clone();
-        let pending = self.pending.iter().map(|p| (p.id, p.in_margins));
-        for (id, in_margins) in pending.chain(extra) {
-            if in_margins {
-                primary_rows.push(id);
-            } else {
-                outlier_rows.push(id);
-            }
-        }
-        (primary_rows, outlier_rows)
-    }
-
-    /// Reconstructs the full logical dataset (built rows in id order, then
-    /// pending rows), through the trait's entry iteration — the rebuild
-    /// path works for any primary/outlier backend combination.
-    pub(crate) fn to_dataset(&self) -> Dataset {
-        let n = self.next_id as usize;
-        let mut columns = vec![vec![0.0; n]; self.dims];
-        self.for_each_entry(&mut |id, row| {
-            for (d, col) in columns.iter_mut().enumerate() {
-                col[id as usize] = row[d];
-            }
-        });
-        Dataset::new(columns)
     }
 }
 
@@ -797,18 +633,18 @@ impl MultidimIndex for CoaxIndex {
     }
 
     fn len(&self) -> usize {
-        self.primary_ids.len() + self.outlier_ids.len() + self.pending.len()
+        self.primary_ids.len() + self.outlier_ids.len()
     }
 
     fn range_query_stats(&self, query: &RangeQuery, out: &mut Vec<RowId>) -> ScanStats {
         self.query_detailed(query, out).flatten()
     }
 
-    /// Point lookups run the same four-step [`crate::exec`] sequence as
-    /// every other query: the degenerate rectangle is translated through
+    /// Point lookups run the same [`crate::exec`] sequence as every
+    /// other query: the degenerate rectangle is translated through
     /// [`CoaxIndex::plan`] (navigation tightening applies to points too —
     /// a point on a dependent attribute becomes a narrow predictor band)
-    /// and executed against primary, outliers, and the pending buffer.
+    /// and executed against primary and outliers.
     ///
     /// The trait default already degenerates to
     /// [`MultidimIndex::range_query_stats`] and thus takes this path;
@@ -823,7 +659,7 @@ impl MultidimIndex for CoaxIndex {
 
     /// Streaming override — the [`crate::exec`] plan cursor: the query is
     /// translated once ([`CoaxIndex::plan`]) and executed incrementally
-    /// (primary cell by cell, then outliers, then the pending buffer),
+    /// (primary cell by cell, then outliers),
     /// with collected results and stats identical to
     /// [`MultidimIndex::range_query_stats`].
     fn range_query_cursor(&self, query: &RangeQuery) -> coax_index::RowCursor<'_> {
@@ -848,9 +684,6 @@ impl MultidimIndex for CoaxIndex {
         self.outliers.for_each_entry(&mut |local, row| {
             f(self.outlier_ids[local as usize], row);
         });
-        for p in &self.pending {
-            f(p.id, &p.values);
-        }
     }
 
     fn memory_overhead(&self) -> usize {
@@ -887,50 +720,11 @@ fn resolve_sort_dim(
     discovery.groups.first().map(|g| g.predictor).or_else(|| indexed.first().copied())
 }
 
-/// Rebuild-time model refresh: linear models take their line from the
-/// posterior and their margins from the full current residuals; spline
-/// models keep their shape (re-discover to re-fit them). Shared with the
-/// [`crate::maint`] refit path, which refreshes against the combined
-/// epoch + overlay dataset.
-pub(crate) fn refresh_group(
-    group: &CorrelationGroup,
-    discovery: &Discovery,
-    posteriors: &[Option<BayesianLinReg>],
-    dataset: &Dataset,
-    epsilon: EpsilonPolicy,
-) -> CorrelationGroup {
-    // Posteriors are stored in discovery's model iteration order.
-    let order: Vec<&FdModel> = discovery.all_models().collect();
-    let models = group
-        .models
-        .iter()
-        .map(|m| {
-            let Some(lin) = m.as_linear() else {
-                return m.clone();
-            };
-            let idx = order
-                .iter()
-                .position(|o| o.predictor() == lin.predictor && o.dependent() == lin.dependent)
-                // coax-analyze: allow(panic-free-library, refresh_group is called with the same discovery order the models were built from — a missing entry is a construction bug, not a runtime input)
-                .expect("model present in discovery");
-            let params =
-                posteriors[idx].as_ref().and_then(BayesianLinReg::params).unwrap_or(lin.params);
-            let residuals: Vec<Value> = dataset
-                .column(lin.predictor)
-                .iter()
-                .zip(dataset.column(lin.dependent))
-                .map(|(&x, &y)| y - params.predict(x))
-                .collect();
-            let (lb, ub) = epsilon.compute(&residuals);
-            SoftFdModel::new(lin.predictor, lin.dependent, params, lb, ub).into()
-        })
-        .collect();
-    CorrelationGroup { predictor: group.predictor, models }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::maint::IndexHandle;
+    use crate::model::SoftFdModel;
     use coax_data::synth::{
         Generator, PlantedConfig, PlantedDependent, PlantedGroup, UniformConfig,
     };
@@ -954,6 +748,15 @@ mod tests {
             seed,
         }
         .generate()
+    }
+
+    /// `ds` with `rows` appended: the logical table after inserting
+    /// `rows` through an [`IndexHandle`] over `ds`.
+    fn with_rows(ds: &Dataset, rows: &[Vec<Value>]) -> Dataset {
+        let columns = (0..ds.dims())
+            .map(|d| ds.column(d).iter().copied().chain(rows.iter().map(|r| r[d])).collect())
+            .collect();
+        Dataset::new(columns)
     }
 
     fn assert_exact(index: &CoaxIndex, ds: &Dataset, queries: &[RangeQuery]) {
@@ -1069,8 +872,8 @@ mod tests {
     #[test]
     fn insert_routes_and_queries_see_pending() {
         let ds = planted_dataset(5000, 12);
-        let mut index = CoaxIndex::build(&ds, &CoaxConfig::default());
-        let model = index.groups()[0].models[0].clone();
+        let index = IndexHandle::build(&ds, &CoaxConfig::default());
+        let model = index.snapshot().frozen().groups()[0].models[0].clone();
         // An in-band row and a gross outlier.
         let x = 500.0;
         let in_band = vec![x, model.predict(x), 50.0];
@@ -1088,7 +891,7 @@ mod tests {
     #[test]
     fn insert_validation() {
         let ds = planted_dataset(1000, 13);
-        let mut index = CoaxIndex::build(&ds, &CoaxConfig::default());
+        let index = IndexHandle::build(&ds, &CoaxConfig::default());
         assert_eq!(index.insert(&[1.0]), Err(InsertError::WrongArity { expected: 3, got: 1 }));
         assert_eq!(index.insert(&[1.0, f64::NAN, 2.0]), Err(InsertError::NonFinite));
     }
@@ -1096,9 +899,10 @@ mod tests {
     #[test]
     fn rebuild_folds_pending_and_stays_exact() {
         let ds = planted_dataset(5000, 14);
-        let mut index = CoaxIndex::build(&ds, &CoaxConfig::default());
-        let model = index.groups()[0].models[0].clone();
+        let index = IndexHandle::build(&ds, &CoaxConfig::default());
+        let model = index.snapshot().frozen().groups()[0].models[0].clone();
         // Insert 200 new in-band rows and 20 outliers.
+        let mut inserted = Vec::new();
         for i in 0..220 {
             let x = (i as f64 * 4.3) % 1000.0;
             let y = if i % 11 == 0 {
@@ -1107,13 +911,16 @@ mod tests {
                 model.predict(x)
             };
             index.insert(&[x, y, 42.0]).unwrap();
+            inserted.push(vec![x, y, 42.0]);
         }
-        let rebuilt = index.rebuild();
-        assert_eq!(rebuilt.pending_len(), 0);
+        index.refit();
+        let snapshot = index.snapshot();
+        let rebuilt = snapshot.frozen();
+        assert_eq!(snapshot.pending_len(), 0);
         assert_eq!(rebuilt.len(), ds.len() + 220);
         // The rebuilt index answers exactly like a linear scan over the
-        // reconstructed data.
-        let all = rebuilt.to_dataset();
+        // logical data.
+        let all = with_rows(&ds, &inserted);
         let queries = knn_rectangle_queries(&all, 10, 40, 15);
         let fs = FullScan::build(&all);
         for q in &queries {
@@ -1128,12 +935,12 @@ mod tests {
     #[test]
     fn rebuild_preserves_row_ids() {
         let ds = planted_dataset(3000, 16);
-        let mut index = CoaxIndex::build(&ds, &CoaxConfig::default());
+        let index = IndexHandle::build(&ds, &CoaxConfig::default());
         let q = RangeQuery::point(&ds.row(77));
         let before = index.range_query(&q);
         index.insert(&[1.0, 1.0, 1.0]).unwrap();
-        let rebuilt = index.rebuild();
-        let after = rebuilt.range_query(&q);
+        index.refit();
+        let after = index.snapshot().frozen().range_query(&q);
         assert_eq!(before, after, "row ids must survive a rebuild");
     }
 
@@ -1182,15 +989,22 @@ mod tests {
             index.primary_len()
         );
 
-        // Inserts still route through the spline's contains().
-        let mut index = index;
+        // Inserts still route through the spline's contains(): after a
+        // fold, one of the two rows joined the primary partition.
+        let (primary_before, outliers_before) = (index.primary_len(), index.outlier_len());
+        let handle = IndexHandle::new(index);
         let on_curve = vec![300.0, (300.0f64 - 500.0).powi(2) / 250.0, 5.0];
         let off_curve = vec![300.0, 1000.0, 5.0];
-        index.insert(&on_curve).unwrap();
-        index.insert(&off_curve).unwrap();
-        assert_eq!(index.pending_in_margins(), 1);
-        // Rebuild keeps the frozen spline and stays exact.
-        let rebuilt = index.rebuild();
+        handle.insert(&on_curve).unwrap();
+        handle.insert(&off_curve).unwrap();
+        handle.fold();
+        let folded = handle.snapshot();
+        assert_eq!(folded.frozen().primary_len() - primary_before, 1);
+        assert_eq!(folded.frozen().outlier_len() - outliers_before, 1);
+        // Refit keeps the frozen spline and stays exact.
+        handle.refit();
+        let snapshot = handle.snapshot();
+        let rebuilt = snapshot.frozen();
         assert!(rebuilt.groups()[0].models[0].as_spline().is_some());
         assert!(rebuilt
             .range_query(&RangeQuery::point(&on_curve))
@@ -1230,9 +1044,11 @@ mod tests {
         assert_exact(&with_rtree, &ds, &queries);
 
         // Rebuild works through the R-tree backend too (entry iteration).
-        let mut idx = with_rtree;
+        let idx = IndexHandle::new(with_rtree);
         idx.insert(&[1.0, 27.0, 3.0]).unwrap();
-        let rebuilt = idx.rebuild();
+        idx.refit();
+        let snapshot = idx.snapshot();
+        let rebuilt = snapshot.frozen();
         assert_eq!(rebuilt.len(), ds.len() + 1);
         assert!(rebuilt
             .range_query(&RangeQuery::point(&[1.0, 27.0, 3.0]))
@@ -1260,13 +1076,16 @@ mod tests {
                 outlier_backend: OutlierBackend::Custom(spec),
                 ..Default::default()
             };
-            let mut index = CoaxIndex::build(&ds, &cfg);
+            let index = CoaxIndex::build(&ds, &cfg);
             assert!(index.outlier_len() > 0, "planted outliers expected");
             assert_exact(&index, &ds, &queries);
             // Rebuild must work through the trait's entry iteration for
             // whatever structure backs the outliers.
-            index.insert(&[2.0, 29.0, 4.0]).unwrap();
-            let rebuilt = index.rebuild();
+            let handle = IndexHandle::new(index);
+            handle.insert(&[2.0, 29.0, 4.0]).unwrap();
+            handle.refit();
+            let snapshot = handle.snapshot();
+            let rebuilt = snapshot.frozen();
             assert_eq!(rebuilt.len(), ds.len() + 1);
             assert!(rebuilt
                 .range_query(&RangeQuery::point(&[2.0, 29.0, 4.0]))
@@ -1300,14 +1119,17 @@ mod tests {
             ),
         ] {
             let cfg = CoaxConfig { primary_backend: primary, ..Default::default() };
-            let mut index = CoaxIndex::build(&ds, &cfg);
+            let index = CoaxIndex::build(&ds, &cfg);
             assert_eq!(index.primary_index().name(), name);
             assert!(index.primary_len() > 0);
             assert_exact(&index, &ds, &queries);
             // Insert + rebuild must work through the trait's entry
             // iteration for whatever structure backs the primary.
-            index.insert(&[3.0, 31.0, 5.0]).unwrap();
-            let rebuilt = index.rebuild();
+            let handle = IndexHandle::new(index);
+            handle.insert(&[3.0, 31.0, 5.0]).unwrap();
+            handle.refit();
+            let snapshot = handle.snapshot();
+            let rebuilt = snapshot.frozen();
             assert_eq!(rebuilt.len(), ds.len() + 1);
             assert!(rebuilt
                 .range_query(&RangeQuery::point(&[3.0, 31.0, 5.0]))
@@ -1350,17 +1172,20 @@ mod tests {
             primary_backend: PrimaryBackend::Coax(Box::default()),
             ..Default::default()
         };
-        let mut index = CoaxIndex::build(&ds, &cfg);
+        let index = CoaxIndex::build(&ds, &cfg);
         assert_eq!(index.primary_index().name(), "coax");
         let mut queries = knn_rectangle_queries(&ds, 10, 50, 45);
         queries.extend(point_queries(&ds, 10, 46));
         assert_exact(&index, &ds, &queries);
         // The composition survives inserts + rebuild.
-        index.insert(&[4.0, 33.0, 6.0]).unwrap();
-        let rebuilt = index.rebuild();
+        let handle = IndexHandle::new(index);
+        handle.insert(&[4.0, 33.0, 6.0]).unwrap();
+        handle.refit();
+        let snapshot = handle.snapshot();
+        let rebuilt = snapshot.frozen();
         assert_eq!(rebuilt.len(), ds.len() + 1);
         assert_eq!(rebuilt.primary_index().name(), "coax");
-        assert_exact(&rebuilt, &rebuilt.to_dataset(), &queries);
+        assert_exact(rebuilt, &with_rows(&ds, &[vec![4.0, 33.0, 6.0]]), &queries);
     }
 
     #[test]
@@ -1369,8 +1194,7 @@ mod tests {
         // translate → probe → merge sequence as the equivalent degenerate
         // rectangle — identical results *and* identical ScanStats.
         let ds = planted_dataset(10_000, 47);
-        let mut index = CoaxIndex::build(&ds, &CoaxConfig::default());
-        index.insert(&[5.0, 35.0, 7.0]).unwrap(); // pending rows count too
+        let index = CoaxIndex::build(&ds, &CoaxConfig::default());
         for r in [0u32, 123, 4567, 9999] {
             let row = ds.row(r);
             let mut point_out = Vec::new();

@@ -33,7 +33,7 @@
 //! 7. [`index`] — [`CoaxIndex`]: a primary index (default: the paper's
 //!    reduced-dimensionality grid file) plus an outlier index, **both**
 //!    pluggable boxed backends ([`PrimaryBackend`]/[`OutlierBackend`]),
-//!    with exact merged results and an insert path. Implements
+//!    with exact merged results. Immutable once built. Implements
 //!    [`coax_index::MultidimIndex`], so COAX composes like any other
 //!    backend — including COAX-over-COAX nesting.
 //! 8. [`spec`] — [`IndexSpec`]: the workspace-level factory building any
@@ -41,9 +41,10 @@
 //! 9. [`maint`] — the lifecycle layer: [`maint::DriftMonitor`] watches
 //!    the insert stream for correlation drift,
 //!    [`maint::MaintenancePolicy`] decides between a cheap fold
-//!    ([`CoaxIndex::rebuild_incremental`]) and a full refit
-//!    ([`CoaxIndex::rebuild`]), [`maint::IndexHandle`] epoch-swaps
-//!    the rebuilt index under concurrent readers, and
+//!    ([`maint::IndexHandle::fold`]) and a full refit
+//!    ([`maint::IndexHandle::refit`]), [`maint::IndexHandle`] — the
+//!    one write path — buffers inserts and epoch-swaps the rebuilt
+//!    index under concurrent readers, and
 //!    [`maint::ReadSnapshot`] gives multi-query read sessions one
 //!    consistent version of it all.
 //! 10. [`theory`] — §7 + appendices: effectiveness (Eq. 5), the
@@ -53,7 +54,7 @@
 //!     process-wide metrics registry (counters / gauges / log-bucketed
 //!     latency histograms), per-phase [`obs::QuerySpan`]s through the
 //!     exec pipeline, and the bounded [`obs::EventJournal`] of
-//!     structural events (epoch publishes, fold-vs-refit decisions,
+//!     structural events (epoch publishes, fold and refit decisions,
 //!     overlay copy-on-write). Configured by [`obs::ObsConfig`] in
 //!     [`CoaxConfig`]; zero-overhead when off and never perturbs
 //!     results.

@@ -1,9 +1,12 @@
-//! The epoch-swapped handle: reads concurrent with writes.
+//! The epoch-swapped handle: the one write path, with reads concurrent
+//! with writes.
 //!
-//! A bare [`CoaxIndex`] is immutable after build except for `insert`,
-//! which needs `&mut self` — so a shared index cannot absorb writes, and
-//! a writable index cannot be shared. [`IndexHandle`] closes that gap
-//! with an epoch scheme:
+//! A built [`CoaxIndex`] is immutable. [`IndexHandle`] carries the whole
+//! §5 update story on top of it: the margin check that routes each insert
+//! ([`DriftMonitor::observe`]), the Bayesian posterior update for the
+//! in-margin rows, the insert buffer (the overlay), and the fold and
+//! refit that build a successor index. It publishes successors with an
+//! epoch scheme:
 //!
 //! ```text
 //!             readers                         writer thread
@@ -21,7 +24,8 @@
 //!   actual index probe runs with no lock held at all.
 //! * The **overlay** buffers rows inserted since the epoch was built
 //!   (each margin-checked against the epoch's models on the way in, so
-//!   folding needs no second pass). One read guard covers both the
+//!   folding needs no second pass). It is the only insert buffer: the
+//!   epoch index holds built rows only. One read guard covers both the
 //!   overlay scan and the `Arc` clone, so every query sees a consistent
 //!   prefix of the insert history — never a torn epoch.
 //! * **Maintenance** (fold or refit) snapshots the epoch and the overlay
@@ -36,8 +40,10 @@
 
 use super::drift::{DriftMonitor, DriftReport};
 use super::policy::{MaintenanceAction, MaintenancePolicy};
-use crate::discovery::Discovery;
-use crate::index::{refresh_group, CoaxConfig, CoaxIndex, InsertError};
+use crate::discovery::{CorrelationGroup, Discovery};
+use crate::epsilon::EpsilonPolicy;
+use crate::index::{CoaxConfig, CoaxIndex, InsertError};
+use crate::model::SoftFdModel;
 use crate::obs::Obs;
 use crate::regression::BayesianLinReg;
 use coax_data::{Dataset, RangeQuery, RowId, Value};
@@ -104,6 +110,38 @@ struct InsertState {
     monitor: DriftMonitor,
 }
 
+impl InsertState {
+    /// Routes one row against the current models: the drift monitor
+    /// gives the margin verdict, and an in-margin row advances every
+    /// linear model's posterior (§5). Returns the verdict. Both the
+    /// insert path and the post-refit overlay replay go through here.
+    fn route(&mut self, row: &[Value]) -> bool {
+        let in_margins = self.monitor.observe(row);
+        if in_margins {
+            for (m, reg) in self.models.discovery.all_models().zip(&mut self.posteriors) {
+                if let Some(reg) = reg {
+                    reg.observe(row[m.predictor()], row[m.dependent()]);
+                }
+            }
+        }
+        in_margins
+    }
+}
+
+/// Checks that `row` fits an index of `dims` dimensions: right arity,
+/// every value finite. The one validation both
+/// [`IndexHandle::insert`] and [`crate::shard::ShardedHandle::insert`]
+/// run before they allocate an id.
+pub(crate) fn validate_row(dims: usize, row: &[Value]) -> Result<(), InsertError> {
+    if row.len() != dims {
+        return Err(InsertError::WrongArity { expected: dims, got: row.len() });
+    }
+    if row.iter().any(|v| !v.is_finite()) {
+        return Err(InsertError::NonFinite);
+    }
+    Ok(())
+}
+
 /// A shared, live-maintained COAX index: concurrent readers, buffered
 /// inserts, and background fold/refit that swaps epochs under readers'
 /// feet without ever tearing a result.
@@ -134,7 +172,7 @@ impl IndexHandle {
         let dims = index.dims();
         let monitor = DriftMonitor::new(&index, config.maintenance.ewma_alpha);
         let posteriors = index.posteriors.clone();
-        let next_id = index.next_id;
+        let next_id = index.len() as RowId;
         let index = Arc::new(index);
         let obs = Obs::new(&config.obs);
         obs.set_overlay_rows(0);
@@ -183,13 +221,10 @@ impl IndexHandle {
         }
     }
 
-    /// Rows buffered but not yet folded into index structures: the
-    /// epoch's own pending buffer (usually empty after the first
-    /// maintenance) plus the handle overlay. This is the count the
-    /// policy's fold trigger watches.
+    /// Rows buffered in the overlay, not yet folded into index
+    /// structures. This is the count the policy's fold trigger watches.
     pub fn pending_len(&self) -> usize {
-        let st = read_guard(&self.state);
-        st.index.pending_len() + st.overlay.len()
+        read_guard(&self.state).overlay.len()
     }
 
     /// Inserts a row through the handle: margin-checked against the
@@ -197,23 +232,10 @@ impl IndexHandle {
     /// Bayesian posteriors, and buffered in the overlay — visible to
     /// every query issued after this call returns.
     pub fn insert(&self, row: &[Value]) -> Result<RowId, InsertError> {
-        if row.len() != self.dims {
-            return Err(InsertError::WrongArity { expected: self.dims, got: row.len() });
-        }
-        if row.iter().any(|v| !v.is_finite()) {
-            return Err(InsertError::NonFinite);
-        }
+        validate_row(self.dims, row)?;
         let timer = self.obs.timer();
-        let mut guard = lock_guard(&self.insert);
-        let ins = &mut *guard;
-        let in_margins = ins.monitor.observe(row);
-        if in_margins {
-            for (m, reg) in ins.models.discovery.all_models().zip(&mut ins.posteriors) {
-                if let Some(reg) = reg {
-                    reg.observe(row[m.predictor()], row[m.dependent()]);
-                }
-            }
-        }
+        let mut ins = lock_guard(&self.insert);
+        let in_margins = ins.route(row);
         let id = ins.next_id;
         ins.next_id += 1;
         // Publish to readers while still holding the insert lock: ids
@@ -230,7 +252,7 @@ impl IndexHandle {
         });
         let overlay_rows = st.overlay.len();
         drop(st);
-        drop(guard);
+        drop(ins);
         // Record only after both guards drop: lock hold time must not
         // grow with the observability layer (enforced by `guard-scope`).
         if let Some(len) = cow_len {
@@ -245,10 +267,7 @@ impl IndexHandle {
     /// The drift monitor's current view of the insert stream.
     pub fn drift_report(&self) -> DriftReport {
         let ins = lock_guard(&self.insert);
-        let pending = {
-            let st = read_guard(&self.state);
-            st.index.pending_len() + st.overlay.len()
-        };
+        let pending = read_guard(&self.state).overlay.len();
         ins.monitor.report(pending)
     }
 
@@ -264,16 +283,21 @@ impl IndexHandle {
         action
     }
 
-    /// Folds the buffered rows into fresh partition structures, models
-    /// frozen ([`CoaxIndex::rebuild_incremental`] semantics), and
-    /// publishes the result as the next epoch.
+    /// Folds the overlay rows into fresh partition structures and
+    /// publishes the result as the next epoch. Models, margins and group
+    /// structure carry over verbatim: built rows keep their partition and
+    /// each overlay row goes where its insert-time verdict routed it. The
+    /// posteriors keep every observation, so a later refit still sees
+    /// the folded rows' evidence. Query results are unchanged; only the
+    /// overlay scan goes away.
     pub fn fold(&self) {
         self.run_maintenance(false);
     }
 
-    /// Refreshes every model from its posterior and the full residuals,
-    /// rebuilds ([`CoaxIndex::rebuild`] semantics over epoch + overlay),
-    /// and publishes the result as the next epoch.
+    /// Refreshes every linear model from its posterior (new line) and
+    /// from the residuals of every row, epoch and overlay (new margins),
+    /// re-splits all rows, and publishes the result as the next epoch.
+    /// Group structure is kept; spline models keep their shape.
     pub fn refit(&self) {
         self.run_maintenance(true);
     }
@@ -294,35 +318,7 @@ impl IndexHandle {
         let timer = self.obs.timer();
 
         // --- 2. build the successor, no lock held -----------------------
-        let dataset = combined_dataset(&base, &overlay_snapshot);
-        let next_id = dataset.len() as RowId;
-        let successor = if refit {
-            let epsilon = self.config.discovery.learn.epsilon;
-            let groups = base
-                .discovery
-                .groups
-                .iter()
-                .map(|g| refresh_group(g, &base.discovery, &posteriors, &dataset, epsilon))
-                .collect();
-            let discovery = Discovery { groups, dims: self.dims };
-            CoaxIndex::build_with_discovery(&dataset, discovery, &self.config)
-        } else {
-            // Same routing as `CoaxIndex::rebuild_incremental`, extended
-            // with the overlay rows (shared helper — the two fold paths
-            // cannot diverge).
-            let (primary_rows, outlier_rows) =
-                base.fold_memberships(overlay_snapshot.iter().map(|r| (r.id, r.in_margins)));
-            CoaxIndex::from_parts(
-                &dataset,
-                base.discovery.clone(),
-                self.config.clone(),
-                primary_rows,
-                outlier_rows,
-                posteriors,
-                next_id,
-            )
-        };
-        let successor = Arc::new(successor);
+        let successor = Arc::new(build_successor(&base, &overlay_snapshot, posteriors, refit));
 
         // --- 3. publish -------------------------------------------------
         let mut ins = lock_guard(&self.insert);
@@ -340,16 +336,8 @@ impl IndexHandle {
             // models set a new baseline.
             ins.posteriors = successor.posteriors.clone();
             ins.monitor = DriftMonitor::new(&successor, self.config.maintenance.ewma_alpha);
-            let ins = &mut *ins;
             for row in Arc::make_mut(&mut st.overlay).iter_mut() {
-                row.in_margins = ins.monitor.observe(&row.values);
-                if row.in_margins {
-                    for (m, reg) in ins.models.discovery.all_models().zip(&mut ins.posteriors) {
-                        if let Some(reg) = reg {
-                            reg.observe(row.values[m.predictor()], row.values[m.dependent()]);
-                        }
-                    }
-                }
+                row.in_margins = ins.route(&row.values);
             }
         }
         // After a fold the models are identical, so everything write-side
@@ -493,11 +481,10 @@ impl ReadSnapshot {
         &self.index
     }
 
-    /// Rows the session reads from its frozen overlay + the epoch's own
-    /// pending buffer, i.e. everything charged to
+    /// Rows in the session's frozen overlay, i.e. everything charged to
     /// [`ScanStats::scanned_pending`] by this snapshot's queries.
     pub fn pending_len(&self) -> usize {
-        self.index.pending_len() + self.overlay.len()
+        self.overlay.len()
     }
 
     /// Streaming batch execution against this session: returns a
@@ -597,9 +584,9 @@ impl MultidimIndex for ReadSnapshot {
     }
 
     /// Streaming override: the overlay chunk flows first, then the
-    /// epoch's plan cursor (primary cell by cell → outliers → epoch
-    /// pending buffer). Collected results and stats are identical to
-    /// [`ReadSnapshot`]'s `range_query_stats`.
+    /// epoch's plan cursor (primary cell by cell → outliers). Collected
+    /// results and stats are identical to [`ReadSnapshot`]'s
+    /// `range_query_stats`.
     fn range_query_cursor(&self, query: &RangeQuery) -> coax_index::RowCursor<'_> {
         coax_index::RowCursor::new(Box::new(SnapshotCursor {
             overlay: &self.overlay,
@@ -641,13 +628,95 @@ impl MultidimIndex for ReadSnapshot {
     }
 }
 
+/// Builds the successor epoch over `base` plus `overlay`, with no lock
+/// held: the one builder behind both [`IndexHandle::fold`] and
+/// [`IndexHandle::refit`].
+///
+/// A fold carries the models and `posteriors` over and routes by the
+/// recorded verdicts (valid because models only move on refit), so it
+/// recomputes no residual and re-checks no row. A refit refreshes every
+/// group from `posteriors` and the combined rows, then re-splits and
+/// re-seeds the posteriors from scratch.
+fn build_successor(
+    base: &CoaxIndex,
+    overlay: &[OverlayRow],
+    posteriors: Vec<Option<BayesianLinReg>>,
+    refit: bool,
+) -> CoaxIndex {
+    let dataset = combined_dataset(base, overlay);
+    let config = base.config();
+    if refit {
+        let epsilon = config.discovery.learn.epsilon;
+        let mut posteriors = posteriors.iter();
+        let groups = base
+            .discovery
+            .groups
+            .iter()
+            .map(|g| refresh_group(g, &mut posteriors, &dataset, epsilon))
+            .collect();
+        let discovery = Discovery { groups, dims: base.dims() };
+        return CoaxIndex::build_with_discovery(&dataset, discovery, config);
+    }
+    let mut primary_rows = base.primary_ids.clone();
+    let mut outlier_rows = base.outlier_ids.clone();
+    for r in overlay {
+        if r.in_margins {
+            primary_rows.push(r.id);
+        } else {
+            outlier_rows.push(r.id);
+        }
+    }
+    CoaxIndex::from_parts(
+        &dataset,
+        base.discovery.clone(),
+        config.clone(),
+        primary_rows,
+        outlier_rows,
+        posteriors,
+    )
+}
+
+/// Refit-time model refresh: linear models take their line from the
+/// posterior and their margins from every current residual; spline
+/// models keep their shape (re-discover to re-fit them). `posteriors`
+/// yields one entry per model in discovery model order, so the groups
+/// must be refreshed in discovery order.
+fn refresh_group<'a>(
+    group: &CorrelationGroup,
+    posteriors: &mut impl Iterator<Item = &'a Option<BayesianLinReg>>,
+    dataset: &Dataset,
+    epsilon: EpsilonPolicy,
+) -> CorrelationGroup {
+    let models = group
+        .models
+        .iter()
+        .zip(posteriors)
+        .map(|(m, posterior)| {
+            let Some(lin) = m.as_linear() else {
+                return m.clone();
+            };
+            let params =
+                posterior.as_ref().and_then(BayesianLinReg::params).unwrap_or(lin.params);
+            let residuals: Vec<Value> = dataset
+                .column(lin.predictor)
+                .iter()
+                .zip(dataset.column(lin.dependent))
+                .map(|(&x, &y)| y - params.predict(x))
+                .collect();
+            let (lb, ub) = epsilon.compute(&residuals);
+            SoftFdModel::new(lin.predictor, lin.dependent, params, lb, ub).into()
+        })
+        .collect();
+    CorrelationGroup { predictor: group.predictor, models }
+}
+
 /// The logical dataset of an epoch plus its overlay, in id order — ids
-/// are dense (`0..next_id` built/pending, then the overlay's allocation
+/// are dense (`0..base.len()` built, then the overlay's allocation
 /// order), so every row lands at its own id and a successor built over
 /// this dataset preserves all external row ids.
 fn combined_dataset(base: &CoaxIndex, overlay: &[OverlayRow]) -> Dataset {
     let dims = base.dims();
-    let n = base.next_id as usize + overlay.len();
+    let n = base.len() + overlay.len();
     let mut columns = vec![vec![0.0; n]; dims];
     base.for_each_entry(&mut |id, row| {
         for (d, col) in columns.iter_mut().enumerate() {

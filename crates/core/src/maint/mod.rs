@@ -3,10 +3,11 @@
 //! The paper's update story (§5, §9) is margin-checked buffered inserts
 //! plus a blocking full rebuild the caller must remember to run. That is
 //! fine for a reproduction and fatal for serving: nothing watches for
-//! correlation drift (the silent killer of Eq. 5 effectiveness), the
+//! correlation drift (the silent killer of Eq. 5 effectiveness), a
 //! rebuild refits every model even when only the buffer grew, and the
 //! rebuild's owner cannot answer queries while it runs. This module is
-//! the missing lifecycle layer, in three cooperating pieces:
+//! the lifecycle layer, and the only place the update story lives, in
+//! cooperating pieces:
 //!
 //! * [`DriftMonitor`] — watches the insert stream: per-model EWMAs of the
 //!   margin-normalised residuals plus an EWMA of the outlier-routing
@@ -14,15 +15,16 @@
 //!   correlation group.
 //! * [`MaintenancePolicy`] + [`Maintainer`] — turn a report into the
 //!   cheapest sufficient [`MaintenanceAction`]: **fold** the buffer into
-//!   fresh structures with every model frozen
-//!   ([`crate::CoaxIndex::rebuild_incremental`]) when the buffer is
-//!   merely long, or **refit** the models from the accumulated evidence
-//!   ([`crate::CoaxIndex::rebuild`] semantics) when the dependency has
-//!   drifted. The policy travels in [`crate::CoaxConfig::maintenance`].
-//! * [`IndexHandle`] — the epoch swap: readers query a consistent
-//!   snapshot lock-free while a writer thread builds the successor epoch
-//!   and publishes it with a pointer swap; inserts buffer through the
-//!   handle and are visible immediately.
+//!   fresh structures with every model frozen ([`IndexHandle::fold`])
+//!   when the buffer is merely long, or **refit** the models from the
+//!   accumulated evidence ([`IndexHandle::refit`]) when the dependency
+//!   has drifted. The policy travels in
+//!   [`crate::CoaxConfig::maintenance`].
+//! * [`IndexHandle`] — the one write path and the epoch swap: inserts
+//!   are margin-checked and buffered through the handle and are visible
+//!   immediately; readers query a consistent snapshot lock-free while a
+//!   writer thread builds the successor epoch and publishes it with a
+//!   pointer swap. A built [`crate::CoaxIndex`] is immutable.
 //! * [`ReadSnapshot`] — a read session over the handle:
 //!   [`IndexHandle::snapshot`] clones the epoch `Arc` and a frozen
 //!   overlay view under one read guard, so any number of
@@ -48,5 +50,6 @@ mod handle;
 mod policy;
 
 pub use drift::{DriftMonitor, DriftReport, GroupDrift, ModelDrift};
+pub(crate) use handle::validate_row;
 pub use handle::{IndexHandle, ReadSnapshot};
 pub use policy::{Maintainer, MaintenanceAction, MaintenanceOutcome, MaintenancePolicy};

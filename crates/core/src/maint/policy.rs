@@ -1,12 +1,12 @@
 //! Maintenance decisions: *when* to act and *how much* to pay.
 //!
 //! Two actions exist, with very different costs. **Fold**
-//! ([`crate::CoaxIndex::rebuild_incremental`]) re-packs the partition
-//! structures around the buffered inserts without touching a model —
-//! cheap, and the right answer when the buffer is merely long. **Refit**
-//! ([`crate::CoaxIndex::rebuild`]) refreshes every model from its
-//! posterior and the full residuals, then re-splits every row — expensive,
-//! and the only answer when the dependency itself has moved.
+//! ([`IndexHandle::fold`]) re-packs the partition structures around the
+//! buffered inserts without touching a model — cheap, and the right
+//! answer when the buffer is merely long. **Refit**
+//! ([`IndexHandle::refit`]) refreshes every model from its posterior and
+//! the full residuals, then re-splits every row — expensive, and the only
+//! answer when the dependency itself has moved.
 //! [`MaintenancePolicy`] maps a [`DriftReport`] to one of them;
 //! [`Maintainer`] runs the loop against an [`IndexHandle`].
 
@@ -141,7 +141,10 @@ impl Maintainer {
     pub fn tick(&self) -> MaintenanceOutcome {
         let report = self.handle.drift_report();
         let action = self.handle.policy().decide(&report);
-        self.handle.obs.record_maint_tick(|| format!("action={action:?} {}", report.summary()));
+        let acted = action != MaintenanceAction::None;
+        self.handle
+            .obs
+            .record_maint_tick(acted, || format!("action={action:?} {}", report.summary()));
         match action {
             MaintenanceAction::None => {}
             MaintenanceAction::Fold => self.handle.fold(),

@@ -5,13 +5,13 @@
 //!
 //! * [`MetricsRegistry`] — process-wide named counters / gauges /
 //!   log-bucketed latency histograms ([`LatencyHistogram`]), registered
-//!   once, recorded into through cheap cloned handles (a relaxed atomic
-//!   op per record).
+//!   once, recorded into through cheap cloned handles (one atomic op
+//!   per record).
 //! * [`QuerySpan`] — per-phase timing of the exec pipeline (translate →
-//!   primary probe → outlier probe → pending/overlay scan → merge),
-//!   each phase feeding its own histogram.
+//!   primary probe → outlier probe → merge), each phase feeding its own
+//!   histogram.
 //! * [`EventJournal`] — a bounded ring of structural events: epoch
-//!   publishes, fold-vs-refit decisions with their
+//!   publishes, fold and refit decisions with their
 //!   [`crate::maint::DriftReport`] scores, overlay copy-on-write
 //!   promotions, batch-pool completions.
 //!
@@ -111,7 +111,6 @@ pub(crate) struct ObsHandles {
     translate_us: Arc<LatencyHistogram>,
     primary_probe_us: Arc<LatencyHistogram>,
     outlier_probe_us: Arc<LatencyHistogram>,
-    pending_scan_us: Arc<LatencyHistogram>,
     merge_us: Arc<LatencyHistogram>,
     handle_query_us: Arc<LatencyHistogram>,
     batch_chunk_us: Arc<LatencyHistogram>,
@@ -145,7 +144,6 @@ impl ObsHandles {
             translate_us: reg.histogram_shard("coax.query.translate_us", shard),
             primary_probe_us: reg.histogram_shard("coax.query.primary_probe_us", shard),
             outlier_probe_us: reg.histogram_shard("coax.query.outlier_probe_us", shard),
-            pending_scan_us: reg.histogram_shard("coax.query.pending_scan_us", shard),
             merge_us: reg.histogram_shard("coax.query.merge_us", shard),
             handle_query_us: reg.histogram_shard("coax.handle.query_us", shard),
             batch_chunk_us: reg.histogram_shard("coax.batch.chunk_us", shard),
@@ -161,7 +159,6 @@ impl ObsHandles {
             QueryPhase::Translate => &self.translate_us,
             QueryPhase::PrimaryProbe => &self.primary_probe_us,
             QueryPhase::OutlierProbe => &self.outlier_probe_us,
-            QueryPhase::PendingScan => &self.pending_scan_us,
             QueryPhase::Merge => &self.merge_us,
         }
     }
@@ -299,12 +296,16 @@ impl Obs {
         }
     }
 
-    /// Records one maintainer poll/decide cycle and journals the
-    /// decision with its triggering drift scores.
-    pub fn record_maint_tick(&self, detail: impl FnOnce() -> String) {
+    /// Records one maintainer poll/decide cycle. A cycle that `acted`
+    /// (fold or refit) is also journalled with its triggering drift
+    /// scores; idle cycles only count, so routine polling never evicts
+    /// the decisions that matter from the bounded journal.
+    pub fn record_maint_tick(&self, acted: bool, detail: impl FnOnce() -> String) {
         if let Some(h) = &self.inner {
             h.maint_ticks.inc();
-            EventJournal::global().push("maint_decision", self.tag(detail()));
+            if acted {
+                EventJournal::global().push("maint_decision", self.tag(detail()));
+            }
         }
     }
 

@@ -5,7 +5,7 @@
 //! to the existing cell, so every `IndexHandle` / `CoaxIndex` built in
 //! the process shares one set of cells); the returned handles are
 //! cheap `Arc` clones carried into hot paths, where recording is a
-//! single relaxed atomic op. Metric names follow the grammar enforced
+//! single atomic op. Metric names follow the grammar enforced
 //! by the `obs-naming` static-analysis rule: lowercase `snake_case`
 //! segments joined by dots, at least two segments
 //! (`coax.query.latency_us`).
@@ -16,6 +16,20 @@
 //! latency and epoch series stay separable in the export, while the
 //! unlabelled series (`shard == None`) remains the process-wide
 //! aggregate every unsharded handle records into.
+//!
+//! # Cross-counter consistency
+//!
+//! A [`MetricsRegistry::snapshot`] never shows a counter ahead of one
+//! registered before it, when every writer bumps the earlier counter
+//! first. Example: `coax.insert.count` is registered before
+//! `coax.insert.out_of_margin`, so a snapshot never shows more
+//! out-of-margin inserts than inserts, and the derived ratio never
+//! exceeds 1. The guarantee comes from pairing [`Counter::add`]
+//! (`Release`) with snapshot loads (`Acquire`) taken in *reverse*
+//! registration order: once the snapshot has read a later counter, every
+//! increment of an earlier counter that preceded those increments is
+//! visible to the load that follows. Gauges and histograms promise
+//! nothing across metrics.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -48,9 +62,11 @@ pub fn is_valid_metric_name(name: &str) -> bool {
 pub struct Counter(Arc<AtomicU64>);
 
 impl Counter {
-    /// Adds `n` to the counter.
+    /// Adds `n` to the counter. `Release`, so a snapshot that observes
+    /// this increment also observes every counter increment this thread
+    /// made before it (see the module docs).
     pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
+        self.0.fetch_add(n, Ordering::Release);
     }
 
     /// Adds one.
@@ -245,22 +261,26 @@ impl MetricsRegistry {
         cell
     }
 
-    /// Reads every registered metric into a point-in-time snapshot.
+    /// Reads every registered metric into a point-in-time snapshot, in
+    /// registration order.
     ///
-    /// Counters and gauges are single relaxed loads; histograms copy
-    /// their buckets. Counter values are monotone across successive
-    /// snapshots (handles only ever `fetch_add`), which the concurrency
-    /// suite pins.
+    /// Counters are `Acquire` loads taken in reverse registration order,
+    /// so a counter is never ahead of one registered before it that its
+    /// writers bump first (see the module docs); gauges are single
+    /// relaxed loads; histograms copy their buckets. Counter values are
+    /// monotone across successive snapshots (handles only ever
+    /// `fetch_add`), which the concurrency suite pins.
     pub fn snapshot(&self) -> Vec<MetricSample> {
         let entries = self.lock();
-        entries
+        let mut samples: Vec<MetricSample> = entries
             .iter()
+            .rev()
             .map(|e| match &e.cell {
                 MetricCell::Counter(c) => MetricSample {
                     name: e.name.clone(),
                     shard: e.shard,
                     kind: MetricKind::Counter,
-                    value: c.load(Ordering::Relaxed),
+                    value: c.load(Ordering::Acquire),
                     histogram: None,
                 },
                 MetricCell::Gauge(c) => MetricSample {
@@ -281,7 +301,9 @@ impl MetricsRegistry {
                     }
                 }
             })
-            .collect()
+            .collect();
+        samples.reverse();
+        samples
     }
 }
 

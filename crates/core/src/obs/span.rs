@@ -1,5 +1,5 @@
 //! Query-lifecycle spans: per-phase timing for the translate → probe →
-//! scan → merge pipeline.
+//! merge pipeline.
 //!
 //! A [`QuerySpan`] is handed out by [`crate::obs::Obs::query_span`] at
 //! the top of `exec::execute` and marks each phase boundary as the
@@ -18,7 +18,7 @@ use std::sync::Arc;
 
 /// The phases of one query through the exec pipeline, in order.
 /// `Translate` is timed at plan construction (the plan may be reused
-/// across an epoch), the remaining four inside `exec::execute`.
+/// across an epoch), the remaining three inside `exec::execute`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum QueryPhase {
     /// Soft-FD query translation (Eq. 2): building the `QueryPlan`.
@@ -27,8 +27,6 @@ pub enum QueryPhase {
     PrimaryProbe,
     /// Probing the outlier partition.
     OutlierProbe,
-    /// Linear scan of the pending buffer / snapshot overlay.
-    PendingScan,
     /// Result assembly: stats flattening and id merge.
     Merge,
 }
@@ -40,7 +38,6 @@ impl QueryPhase {
             QueryPhase::Translate => "translate",
             QueryPhase::PrimaryProbe => "primary_probe",
             QueryPhase::OutlierProbe => "outlier_probe",
-            QueryPhase::PendingScan => "pending_scan",
             QueryPhase::Merge => "merge",
         }
     }

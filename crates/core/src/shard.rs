@@ -40,6 +40,11 @@
 //!   row becomes visible in the shard and are immutable afterwards, so
 //!   queries remap through the live table under a brief read lock — no
 //!   copy-on-write, no global lock.
+//! * **Prefix-consistent reads**: inserts advance a global visibility
+//!   watermark in id order, each after its shard publishes the row.
+//!   Every read loads it first and drops remapped ids at or above it
+//!   (off `matches`, not off the scan counters), so, as on the unsharded
+//!   handle, every read sees a prefix of the insert history.
 //!
 //! # Merge policy and stats contract
 //!
@@ -59,7 +64,7 @@
 use crate::discovery::{discover, Discovery};
 use crate::exec::ExecConfig;
 use crate::index::{CoaxConfig, CoaxIndex, InsertError};
-use crate::maint::{IndexHandle, Maintainer, MaintenanceAction, ReadSnapshot};
+use crate::maint::{validate_row, IndexHandle, Maintainer, MaintenanceAction, ReadSnapshot};
 use coax_data::{Dataset, RangeQuery, RowId, Value};
 use coax_index::{CursorSource, MultidimIndex, QueryResult, RowCursor, ScanStats};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -189,20 +194,54 @@ fn quantile_bounds(column: &[Value], shards: usize) -> Vec<Value> {
         .collect()
 }
 
-/// Remaps a shard's local row ids to global ids through its id table.
-/// The table is append-only and entries are written before a local id
-/// becomes visible, so every id a query returns has its entry; the
-/// debug assert (and, in release, the bound-checked indexing) enforces
-/// the [`MultidimIndex::range_query_stats`] id contract on the shard.
-fn remap_global(ids: &mut [RowId], table: &[RowId]) {
-    for id in ids.iter_mut() {
+/// Remaps a shard's local row ids in `ids[start..]` to global ids
+/// through its id table and drops those at or above the watermark
+/// `visible`, returning how many it dropped. The table is append-only
+/// and entries are written before a local id becomes visible, so every
+/// id a query returns has its entry; the debug assert (and, in release,
+/// the bound-checked indexing) enforces the
+/// [`MultidimIndex::range_query_stats`] id contract on the shard.
+fn remap_visible(ids: &mut Vec<RowId>, start: usize, table: &[RowId], visible: u64) -> usize {
+    let len = ids.len();
+    let mut kept = start;
+    for i in start..len {
+        let local = ids[i] as usize;
         debug_assert!(
-            (*id as usize) < table.len(),
-            "shard emitted local id {id} beyond its id table ({} rows)",
+            local < table.len(),
+            "shard emitted local id {local} beyond its id table ({} rows)",
             table.len()
         );
-        *id = table[*id as usize];
+        let gid = table[local];
+        if u64::from(gid) < visible {
+            ids[kept] = gid;
+            kept += 1;
+        }
     }
+    ids.truncate(kept);
+    len - kept
+}
+
+/// Fans one query out across the shards (`query_shard(s, ids)` answers
+/// shard `s` in local ids), remaps below the watermark `visible`, and
+/// merges per the module-level policy.
+fn query_shards(
+    core: &ShardState,
+    visible: u64,
+    out: &mut Vec<RowId>,
+    query_shard: impl Fn(usize, &mut Vec<RowId>) -> ScanStats + Sync,
+) -> ScanStats {
+    let per_shard = fan_out(&core.exec, core.handles.len(), |s| {
+        let mut ids = Vec::new();
+        let mut stats = query_shard(s, &mut ids);
+        stats.matches -= remap_visible(&mut ids, 0, &table_read(&core.tables[s]), visible);
+        (ids, stats)
+    });
+    let mut stats = ScanStats::default();
+    for (ids, shard_stats) in per_shard {
+        out.extend_from_slice(&ids);
+        stats = stats.merge(shard_stats);
+    }
+    stats
 }
 
 /// Acquires a read guard on an id table, propagating a poisoned-lock
@@ -234,8 +273,11 @@ struct ShardState {
     /// the shard, and never changes afterwards — so readers remap
     /// through the live table under a brief read lock.
     tables: Vec<RwLock<Vec<RowId>>>,
-    /// Next global row id; also the logical row count.
+    /// Next global row id to allocate.
     next_global: AtomicU64,
+    /// Visibility watermark, also the logical row count: every global
+    /// id below it is published in its shard.
+    visible: AtomicU64,
     /// Fan-out policy: how many shard queries run concurrently.
     exec: ExecConfig,
 }
@@ -371,6 +413,7 @@ impl ShardedHandle {
                 handles,
                 tables,
                 next_global: AtomicU64::new(dataset.len() as u64),
+                visible: AtomicU64::new(dataset.len() as u64),
                 exec: config.exec,
             }),
         }
@@ -427,36 +470,41 @@ impl ShardedHandle {
     /// next global id, and handed to the owning shard. The id-table
     /// entry is pushed (under the table write lock) *before* the shard
     /// insert publishes the row, so a concurrent reader can never see a
-    /// local id without its global mapping.
+    /// local id without its global mapping. Readers see the row once
+    /// the watermark passes its id, before this returns.
     pub fn insert(&self, row: &[Value]) -> Result<RowId, InsertError> {
-        // Validate before allocating a global id, mirroring the shard
-        // handle's own checks — the shard insert below cannot fail.
-        if row.len() != self.core.dims {
-            return Err(InsertError::WrongArity { expected: self.core.dims, got: row.len() });
-        }
-        if row.iter().any(|v| !v.is_finite()) {
-            return Err(InsertError::NonFinite);
-        }
+        // Validate before allocating a global id, with the shard
+        // handle's own check — the shard insert below cannot fail.
+        validate_row(self.core.dims, row)?;
         let s = self.core.router.route(row);
-        let mut table = table_write(&self.core.tables[s]);
-        let gid = self.core.next_global.fetch_add(1, Ordering::Relaxed) as RowId;
-        table.push(gid);
-        match self.core.handles[s].insert(row) {
-            Ok(local) => {
-                debug_assert_eq!(
-                    local as usize,
+        let (gid, inserted) = {
+            let mut table = table_write(&self.core.tables[s]);
+            let gid = self.core.next_global.fetch_add(1, Ordering::Relaxed) as RowId;
+            table.push(gid);
+            let inserted = self.core.handles[s].insert(row);
+            match &inserted {
+                Ok(local) => debug_assert_eq!(
+                    *local as usize,
                     table.len() - 1,
                     "shard {s} local id diverged from its id table"
-                );
-                Ok(gid)
+                ),
+                // Unreachable (validation above matches the handle's), but
+                // keep the table consistent rather than panic.
+                Err(_) => {
+                    table.pop();
+                }
             }
-            // Unreachable (validation above matches the handle's), but
-            // keep the table consistent rather than panic.
-            Err(e) => {
-                table.pop();
-                Err(e)
-            }
+            (gid, inserted)
+        };
+        // Publish in id order, outside the table lock: wait until every
+        // earlier id is visible, then pass this one. Advanced on the
+        // error path too, so later writers do not wait forever.
+        let visible = &self.core.visible;
+        while visible.load(Ordering::Acquire) != u64::from(gid) {
+            std::thread::yield_now();
         }
+        visible.store(u64::from(gid) + 1, Ordering::Release);
+        inserted.map(|_| gid)
     }
 
     /// Opens a cross-shard read session: one [`ReadSnapshot`] per shard,
@@ -466,9 +514,13 @@ impl ShardedHandle {
     /// exact however many inserts or refits land concurrently, because
     /// id-table entries are immutable once written.
     pub fn snapshot(&self) -> ShardedSnapshot {
+        // The watermark first: every id below it is already in the shard
+        // snapshots taken after it.
+        let visible = self.core.visible.load(Ordering::Acquire);
         ShardedSnapshot {
             core: Arc::clone(&self.core),
             shards: self.core.handles.iter().map(|h| h.snapshot()).collect(),
+            visible,
         }
     }
 
@@ -489,26 +541,17 @@ impl MultidimIndex for ShardedHandle {
     }
 
     fn len(&self) -> usize {
-        self.core.next_global.load(Ordering::Relaxed) as usize
+        self.core.visible.load(Ordering::Acquire) as usize
     }
 
     /// Fans the query out across shards (each shard answering through
     /// its handle's inline one-query session), remaps each shard's local
-    /// ids to global ids, and merges per the module-level policy.
+    /// ids to global ids below the watermark, and merges per the
+    /// module-level policy.
     fn range_query_stats(&self, query: &RangeQuery, out: &mut Vec<RowId>) -> ScanStats {
         let core = &self.core;
-        let per_shard = fan_out(&core.exec, core.handles.len(), |s| {
-            let mut ids = Vec::new();
-            let stats = core.handles[s].range_query_stats(query, &mut ids);
-            remap_global(&mut ids, &table_read(&core.tables[s]));
-            (ids, stats)
-        });
-        let mut stats = ScanStats::default();
-        for (ids, shard_stats) in per_shard {
-            out.extend_from_slice(&ids);
-            stats = stats.merge(shard_stats);
-        }
-        stats
+        let visible = core.visible.load(Ordering::Acquire);
+        query_shards(core, visible, out, |s, ids| core.handles[s].range_query_stats(query, ids))
     }
 
     /// One cross-shard snapshot for the whole batch (see
@@ -518,15 +561,7 @@ impl MultidimIndex for ShardedHandle {
     }
 
     fn for_each_entry(&self, f: &mut dyn FnMut(RowId, &[Value])) {
-        for (s, h) in self.core.handles.iter().enumerate() {
-            // Clone the table prefix instead of holding the lock across
-            // the shard walk (cold path; keeps lock scopes disjoint).
-            let table: Vec<RowId> = table_read(&self.core.tables[s]).clone();
-            h.for_each_entry(&mut |local, values| {
-                debug_assert!((local as usize) < table.len());
-                f(table[local as usize], values);
-            });
-        }
+        self.snapshot().for_each_entry(f);
     }
 
     /// Per-shard structure overhead plus the id tables (the price of
@@ -543,9 +578,11 @@ impl MultidimIndex for ShardedHandle {
 }
 
 /// One consistent cross-shard read session: a vector of per-shard
-/// [`ReadSnapshot`]s taken in one pass. Every query through it — point,
-/// range, batch, cursor, streaming — sees exactly the captured per-shard
-/// versions, while inserts and per-shard refits keep landing on the live
+/// [`ReadSnapshot`]s taken in one pass, cut at the visibility watermark
+/// loaded before them (so the session holds a prefix of the insert
+/// history). Every query through it — point, range, batch, cursor,
+/// streaming — sees exactly the captured per-shard versions, while
+/// inserts and per-shard refits keep landing on the live
 /// [`ShardedHandle`] (pinned by the sharded snapshot-isolation test).
 /// Cheap to clone; `Send + Sync`, so one session can fan out across
 /// reader threads.
@@ -553,6 +590,8 @@ impl MultidimIndex for ShardedHandle {
 pub struct ShardedSnapshot {
     core: Arc<ShardState>,
     shards: Vec<ReadSnapshot>,
+    /// The watermark this session reads below.
+    visible: u64,
 }
 
 impl ShardedSnapshot {
@@ -579,6 +618,7 @@ impl ShardedSnapshot {
         let queries = Arc::new(queries.to_vec());
         let (tx, rx): (SyncSender<(usize, usize, QueryResult)>, _) =
             std::sync::mpsc::sync_channel((shards * 16).clamp(16, 1024));
+        let visible = self.visible;
         for (s, snap) in self.shards.iter().enumerate() {
             let (snap, queries, core, tx) =
                 (snap.clone(), Arc::clone(&queries), Arc::clone(&self.core), tx.clone());
@@ -588,7 +628,9 @@ impl ShardedSnapshot {
                 // disconnects, and the merged stream re-raises with the
                 // outstanding count.
                 for (qi, mut result) in snap.batch_query_streaming(&queries) {
-                    remap_global(&mut result.ids, &table_read(&core.tables[s]));
+                    let table = table_read(&core.tables[s]);
+                    result.stats.matches -= remap_visible(&mut result.ids, 0, &table, visible);
+                    drop(table);
                     // A dropped ShardedBatchStream cancels the fan-out.
                     if tx.send((s, qi, result)).is_err() {
                         return;
@@ -616,26 +658,16 @@ impl MultidimIndex for ShardedSnapshot {
     }
 
     fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.len()).sum()
+        self.visible as usize
     }
 
     /// Fan-out over the frozen per-shard snapshots, remap, merge — same
     /// policy as the live handle, against this session's versions.
     fn range_query_stats(&self, query: &RangeQuery, out: &mut Vec<RowId>) -> ScanStats {
-        let core = &self.core;
         let shards = &self.shards;
-        let per_shard = fan_out(&core.exec, shards.len(), |s| {
-            let mut ids = Vec::new();
-            let stats = shards[s].range_query_stats(query, &mut ids);
-            remap_global(&mut ids, &table_read(&core.tables[s]));
-            (ids, stats)
-        });
-        let mut stats = ScanStats::default();
-        for (ids, shard_stats) in per_shard {
-            out.extend_from_slice(&ids);
-            stats = stats.merge(shard_stats);
-        }
-        stats
+        query_shards(&self.core, self.visible, out, |s, ids| {
+            shards[s].range_query_stats(query, ids)
+        })
     }
 
     /// Streaming override: one merged cursor chaining the shards'
@@ -646,6 +678,7 @@ impl MultidimIndex for ShardedSnapshot {
         RowCursor::new(Box::new(ShardedCursor {
             core: &self.core,
             shards: &self.shards,
+            visible: self.visible,
             query: query.clone(),
             shard: 0,
             current: None,
@@ -663,7 +696,7 @@ impl MultidimIndex for ShardedSnapshot {
             let mut results = shards[s].batch_query(queries);
             let table = table_read(&core.tables[s]);
             for r in &mut results {
-                remap_global(&mut r.ids, &table);
+                r.stats.matches -= remap_visible(&mut r.ids, 0, &table, self.visible);
             }
             results
         });
@@ -681,10 +714,15 @@ impl MultidimIndex for ShardedSnapshot {
 
     fn for_each_entry(&self, f: &mut dyn FnMut(RowId, &[Value])) {
         for (s, snap) in self.shards.iter().enumerate() {
+            // Clone the table prefix instead of holding the lock across
+            // the shard walk (cold path; keeps lock scopes disjoint).
             let table: Vec<RowId> = table_read(&self.core.tables[s]).clone();
             snap.for_each_entry(&mut |local, values| {
                 debug_assert!((local as usize) < table.len());
-                f(table[local as usize], values);
+                let gid = table[local as usize];
+                if u64::from(gid) < self.visible {
+                    f(gid, values);
+                }
             });
         }
     }
@@ -696,10 +734,12 @@ impl MultidimIndex for ShardedSnapshot {
 
 /// The incremental scan behind [`ShardedSnapshot::range_query_cursor`]:
 /// shard 0's snapshot cursor chunk by chunk, then shard 1's, …, each
-/// chunk remapped to global ids under a brief id-table read guard.
+/// chunk remapped to global ids under a brief id-table read guard and
+/// cut at the session's watermark.
 struct ShardedCursor<'a> {
     core: &'a ShardState,
     shards: &'a [ReadSnapshot],
+    visible: u64,
     query: RangeQuery,
     shard: usize,
     current: Option<RowCursor<'a>>,
@@ -725,7 +765,8 @@ impl CursorSource for ShardedCursor<'_> {
                     let start = out.len();
                     out.extend_from_slice(chunk);
                     *stats = stats.merge(cur.stats().since(before));
-                    remap_global(&mut out[start..], &table_read(&self.core.tables[self.shard]));
+                    let table = table_read(&self.core.tables[self.shard]);
+                    stats.matches -= remap_visible(out, start, &table, self.visible);
                     return true;
                 }
                 None => {

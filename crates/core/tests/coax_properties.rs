@@ -13,7 +13,7 @@
 //! strategies covered.
 
 use coax_core::learn::split_rows;
-use coax_core::{CoaxConfig, CoaxIndex, SplineFdModel};
+use coax_core::{CoaxConfig, CoaxIndex, IndexHandle, SplineFdModel};
 use coax_data::synth::{Generator, PlantedConfig, PlantedDependent, PlantedGroup};
 use coax_data::{Dataset, RangeQuery};
 use coax_index::{FullScan, MultidimIndex};
@@ -242,7 +242,7 @@ fn insert_then_query_round_trip() {
     let mut rng = StdRng::seed_from_u64(0xC0_07);
     for _ in 0..12 {
         let ds = random_planted(&mut rng);
-        let mut index = CoaxIndex::build(&ds, &small_config(1024));
+        let index = IndexHandle::build(&ds, &small_config(1024));
         let mut inserted = Vec::new();
         for _ in 0..rng.gen_range(0usize..20) {
             let len = rng.gen_range(0usize..8);

@@ -96,11 +96,10 @@ fn batch_covers_pending_inserts_and_custom_outliers() {
         outlier_backend: OutlierBackend::RTree { capacity: 8 },
         ..Default::default()
     };
-    let mut index = CoaxIndex::build(&ds, &config);
-    let model = index.groups()[0].models[0].clone();
-    let x = 333.0;
-    index.insert(&[x, model.predict(x), 7.0]).unwrap();
-    index.insert(&[x, model.predict(x) + 80.0 * model.margin_width(), 7.0]).unwrap();
+    // Inserted rows live in the handle overlay, not in a CoaxIndex; the
+    // handle's batch/overlay agreement is pinned by the streaming and
+    // snapshot-isolation suites.
+    let index = CoaxIndex::build(&ds, &config);
 
     let queries = mixed_workload(&ds);
     let batched = index.batch_query(&queries);
@@ -331,16 +330,11 @@ fn plans_are_reusable_and_report_pruning() {
 
 /// The streaming sink must deliver every query exactly once, each result
 /// identical to the materialized batch at that index — whatever thread
-/// count, sharing, or chunking drives the pool, and with pending inserts
-/// in the picture.
+/// count, sharing, or chunking drives the pool.
 #[test]
 fn streaming_batch_delivers_every_query_identically() {
     let ds = planted(8_000, 191);
-    let mut index = CoaxIndex::build(&ds, &CoaxConfig::default());
-    for i in 0..40 {
-        let x = (i as f64 * 23.7) % 1000.0;
-        index.insert(&[x, 2.0 * x + 25.0, 50.0]).unwrap();
-    }
+    let index = CoaxIndex::build(&ds, &CoaxConfig::default());
     let mut queries = mixed_workload(&ds);
     queries.extend(knn_rectangle_queries(&ds, 60, 50, 905));
     let expected = index.batch_query(&queries);
@@ -389,12 +383,7 @@ fn single_threaded_streaming_preserves_query_order() {
 #[test]
 fn plan_cursor_collects_identically_to_execute_plan() {
     let ds = planted(8_000, 193);
-    let mut index = CoaxIndex::build(&ds, &CoaxConfig::default());
-    for i in 0..25 {
-        let x = (i as f64 * 17.3) % 1000.0;
-        let y = if i % 7 == 0 { 2.0 * x + 600.0 } else { 2.0 * x + 25.0 };
-        index.insert(&[x, y, 10.0]).unwrap();
-    }
+    let index = CoaxIndex::build(&ds, &CoaxConfig::default());
     for q in mixed_workload(&ds) {
         let mut ids = Vec::new();
         let stats = index.range_query_stats(&q, &mut ids);
